@@ -133,19 +133,6 @@ impl BitMatrix {
         self.bits[i * self.words_per_row + w]
     }
 
-    /// Overwrites row `i`'s words and bounds wholesale — the write-back half
-    /// of the parallel closure's pure row recomputation. `words` must span
-    /// the full row; `[lo, hi)` must be a valid conservative bound of its
-    /// nonzero words (the pure computation replicates the sequential
-    /// engine's exact `widen` sequence, so the stored bounds are identical
-    /// to what in-place recomputation would have produced).
-    pub(crate) fn store_row(&mut self, i: usize, words: &[u64], lo: usize, hi: usize) {
-        let range = self.row_range(i);
-        self.bits[range].copy_from_slice(words);
-        self.lo[i] = lo as u32;
-        self.hi[i] = hi as u32;
-    }
-
     /// Split-borrows rows `src` (shared) and `dst` (mutable).
     ///
     /// # Panics
@@ -554,18 +541,6 @@ mod tests {
         let mut got = Vec::new();
         m.for_each_set_in_row(2, |b| got.push(b));
         assert_eq!(got, m.iter_row(2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn store_row_overwrites_bits_and_bounds() {
-        let mut m = BitMatrix::new(130);
-        m.set(1, 5);
-        let mut words = vec![0u64; m.words_per_row()];
-        words[2] = 0b1001;
-        m.store_row(1, &words, 2, 3);
-        assert_eq!(m.iter_row(1).collect::<Vec<_>>(), vec![128, 131]);
-        assert_eq!(m.row_bounds(1), (2, 3));
-        assert!(!m.get(1, 5));
     }
 
     #[test]

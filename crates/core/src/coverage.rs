@@ -12,7 +12,9 @@
 use droidracer_trace::Trace;
 
 use crate::engine::HappensBefore;
+use crate::graph::HbGraph;
 use crate::report::{Analysis, ClassifiedRace};
+use crate::robust::Budget;
 
 /// The result of coverage-based triage.
 #[derive(Debug, Clone)]
@@ -34,7 +36,15 @@ impl CoverageReport {
 
 fn recompute(trace: &Trace, analysis: &Analysis, assumed: &[(usize, usize)]) -> HappensBefore {
     let index = trace.index();
-    HappensBefore::compute_with_assumed_edges(trace, &index, *analysis.hb().config(), assumed)
+    let config = *analysis.hb().config();
+    // Anchor the assumed edges precisely: their endpoints must not be
+    // swallowed by access blocks, or the injected edge would order whole
+    // blocks the assumption says nothing about.
+    let breaks: Vec<usize> = assumed.iter().flat_map(|&(i, j)| [i, j]).collect();
+    let graph = HbGraph::build_with_breaks(trace, &index, config.merge_accesses, &breaks);
+    // invariant: an unlimited budget never exhausts.
+    HappensBefore::compute_on_graph(trace, &index, graph, config, &Budget::unlimited(), assumed)
+        .expect("unlimited budget cannot exhaust")
 }
 
 /// Triage the representative races of `analysis` by coverage.

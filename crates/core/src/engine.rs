@@ -28,13 +28,6 @@ use crate::bitmatrix::{BitIter, BitMatrix, BitSet};
 use crate::graph::{DirectEdges, HbGraph, NodeId};
 use crate::robust::{Budget, BudgetExhausted, BudgetReason};
 use crate::rules::{HbConfig, RuleSet};
-use crate::simd;
-
-/// Minimum rows in one level batch before the parallel closure dispatches
-/// it to the worker pool. Program-order chains make the direct-edge DAG
-/// deep and narrow, so many levels hold only a handful of rows — those are
-/// recomputed inline, where spawning would cost more than the work.
-const PAR_GROUP_MIN: usize = 16;
 
 /// Hot-path counters recorded while computing one happens-before relation.
 ///
@@ -74,16 +67,6 @@ pub struct EngineStats {
     /// Words the row bounds allowed saturation to skip — the all-zero
     /// prefix/suffix words a whole-row scan would have touched.
     pub skipped_words: u64,
-    /// Row batches dispatched to the intra-trace worker pool by the
-    /// parallel closure. Zero on the sequential path (`intra_threads ≤ 1`)
-    /// and independent of the worker count otherwise — the level partition
-    /// is a function of the direct-edge DAG alone.
-    pub batches: u64,
-    /// Direct edges between rows recomputed in the same saturation — the
-    /// dependencies that force rows into different level batches. Counted
-    /// only when the parallel closure is active; like `batches`, identical
-    /// for every worker count ≥ 2.
-    pub batch_conflicts: u64,
 }
 
 impl EngineStats {
@@ -105,8 +88,6 @@ impl EngineStats {
         self.worklist_pops += other.worklist_pops;
         self.rows_recomputed += other.rows_recomputed;
         self.skipped_words += other.skipped_words;
-        self.batches += other.batches;
-        self.batch_conflicts += other.batch_conflicts;
     }
 
     /// Per-counter difference `self - baseline`: the work done since
@@ -129,8 +110,6 @@ impl EngineStats {
             worklist_pops: self.worklist_pops - baseline.worklist_pops,
             rows_recomputed: self.rows_recomputed - baseline.rows_recomputed,
             skipped_words: self.skipped_words - baseline.skipped_words,
-            batches: self.batches - baseline.batches,
-            batch_conflicts: self.batch_conflicts - baseline.batch_conflicts,
         }
     }
 }
@@ -161,72 +140,48 @@ impl HappensBefore {
     /// automatically.
     pub fn compute(trace: &Trace, config: HbConfig) -> Self {
         let index = trace.index();
-        Self::compute_with_index(trace, &index, config)
-    }
-
-    /// Computes the relation with saturation parallelized *within* the
-    /// trace: rows to recompute are partitioned into batches of mutually
-    /// unreachable rows (equal longest-path level in the direct-edge DAG)
-    /// and recomputed concurrently on `threads` scoped workers, each as a
-    /// pure function of already-final rows, followed by a deterministic
-    /// single-threaded write-back.
-    ///
-    /// Matrices **and** every [`EngineStats`] counter except
-    /// `batches`/`batch_conflicts` are bit-identical to
-    /// [`HappensBefore::compute`] for every `threads` value — the partition
-    /// only reschedules independent work (asserted across 1/2/8 workers by
-    /// `tests/parallel_closure.rs`). `threads ≤ 1` *is* the sequential
-    /// engine, batch counters included.
-    pub fn compute_parallel(trace: &Trace, config: HbConfig, threads: usize) -> Self {
-        let index = trace.index();
+        let graph = HbGraph::build(trace, &index, config.merge_accesses);
         // invariant: an unlimited budget never exhausts.
-        Self::compute_inner(trace, &index, config, &[], false, &Budget::unlimited(), threads)
+        Self::compute_on_graph(trace, &index, graph, config, &Budget::unlimited(), &[])
             .expect("unlimited budget cannot exhaust")
     }
 
-    /// Like [`HappensBefore::compute`] but reuses a prebuilt [`TraceIndex`].
-    pub fn compute_with_index(trace: &Trace, index: &TraceIndex, config: HbConfig) -> Self {
-        Self::compute_with_assumed_edges(trace, index, config, &[])
-    }
-
-    /// Computes the relation with additional *assumed* orderings injected as
-    /// base edges (`(i, j)` meaning `αi ≺ αj`, trace indices with `i < j`).
+    /// Computes the relation over a prebuilt [`HbGraph`] under a resource
+    /// [`Budget`], with additional *assumed* orderings injected as base
+    /// edges — the general constructor behind [`HappensBefore::compute`].
     ///
-    /// Used by race-coverage analysis (à la Raychev et al., which §6 points
-    /// to for ad-hoc synchronization): assuming one race resolves in trace
-    /// order may order — *cover* — other races.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assumed edge points backwards (`i ≥ j`) or out of range.
-    pub fn compute_with_assumed_edges(
-        trace: &Trace,
-        index: &TraceIndex,
-        config: HbConfig,
-        assumed: &[(usize, usize)],
-    ) -> Self {
-        // invariant: an unlimited budget never exhausts.
-        Self::compute_inner(trace, index, config, assumed, false, &Budget::unlimited(), 1)
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// Computes the relation under a resource [`Budget`].
-    ///
-    /// The engine polls the budget cooperatively (per saturated row, per
-    /// worklist pop) and the matrix-allocation cap is checked up front, so
-    /// an adversarial trace can neither hang nor OOM a budgeted run.
+    /// * `graph` must have been built from `trace`/`index` with the same
+    ///   `merge_accesses` setting as `config`. Callers that time the
+    ///   pipeline build it themselves to separate graph construction (+ §6
+    ///   node merging) from the closure.
+    /// * `assumed` holds `(i, j)` pairs meaning `αi ≺ αj` (trace indices,
+    ///   `i < j`). Race-coverage analysis (à la Raychev et al., which §6
+    ///   points to for ad-hoc synchronization) assumes one race resolves in
+    ///   trace order and asks which other races that orders. Build the graph
+    ///   with [`HbGraph::build_with_breaks`] over the endpoints, so access
+    ///   blocks do not swallow them and the edge orders only what the
+    ///   assumption says.
+    /// * The engine polls `budget` cooperatively (per saturated row, per
+    ///   worklist pop) and checks the matrix-allocation cap up front, so an
+    ///   adversarial trace can neither hang nor OOM a budgeted run.
     ///
     /// # Errors
     ///
     /// Returns [`BudgetExhausted`] — carrying the partial [`EngineStats`]
     /// accumulated up to the cutoff — when a limit trips.
-    pub fn compute_budgeted(
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumed edge points backwards (`i ≥ j`) or out of range.
+    pub fn compute_on_graph(
         trace: &Trace,
+        index: &TraceIndex,
+        graph: HbGraph,
         config: HbConfig,
         budget: &Budget,
+        assumed: &[(usize, usize)],
     ) -> Result<Self, BudgetExhausted> {
-        let index = trace.index();
-        Self::compute_inner(trace, &index, config, &[], false, budget, 1)
+        Self::close(trace, index, graph, config, budget, assumed, false)
     }
 
     /// Computes the relation with the retained naive reference saturation:
@@ -239,106 +194,22 @@ impl HappensBefore {
     /// with matrix size instead of with change.
     pub fn compute_reference(trace: &Trace, config: HbConfig) -> Self {
         let index = trace.index();
+        let graph = HbGraph::build(trace, &index, config.merge_accesses);
         // invariant: an unlimited budget never exhausts.
-        Self::compute_inner(trace, &index, config, &[], true, &Budget::unlimited(), 1)
+        Self::close(trace, &index, graph, config, &Budget::unlimited(), &[], true)
             .expect("unlimited budget cannot exhaust")
     }
 
-    /// Computes the relation over a prebuilt [`HbGraph`], so callers that
-    /// time or otherwise observe the pipeline can separate graph
-    /// construction (+ §6 node merging) from the fixpoint closure.
-    ///
-    /// `graph` must have been built from `trace`/`index` with the same
-    /// `merge_accesses` setting as `config` — `Analysis` guarantees this;
-    /// ad-hoc callers should prefer [`HappensBefore::compute`].
-    pub fn compute_on_graph(
-        trace: &Trace,
-        index: &TraceIndex,
-        graph: HbGraph,
-        config: HbConfig,
-    ) -> Self {
-        Self::compute_on_graph_parallel(trace, index, graph, config, 1)
-    }
-
-    /// [`HappensBefore::compute_on_graph`] with the intra-trace parallel
-    /// closure on `threads` workers; see [`HappensBefore::compute_parallel`]
-    /// for the determinism contract.
-    pub fn compute_on_graph_parallel(
-        trace: &Trace,
-        index: &TraceIndex,
-        graph: HbGraph,
-        config: HbConfig,
-        threads: usize,
-    ) -> Self {
-        // invariant: an unlimited budget never exhausts.
-        Self::close_over(trace, index, config, &[], false, graph, &Budget::unlimited(), threads)
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// Like [`HappensBefore::compute_on_graph`] but under a [`Budget`];
-    /// see [`HappensBefore::compute_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when a limit trips.
-    pub fn compute_on_graph_budgeted(
+    /// Runs the fixpoint over `graph`: the incremental worklist engine, or
+    /// with `reference` the whole-matrix reference saturation.
+    fn close(
         trace: &Trace,
         index: &TraceIndex,
         graph: HbGraph,
         config: HbConfig,
         budget: &Budget,
-    ) -> Result<Self, BudgetExhausted> {
-        Self::compute_on_graph_budgeted_parallel(trace, index, graph, config, budget, 1)
-    }
-
-    /// [`HappensBefore::compute_on_graph_budgeted`] with the intra-trace
-    /// parallel closure on `threads` workers. A *limited* budget forces the
-    /// sequential path regardless of `threads` — the cooperative poll
-    /// granularity (per saturated row, per worklist pop) is part of the
-    /// budget contract and must not depend on scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when a limit trips.
-    pub fn compute_on_graph_budgeted_parallel(
-        trace: &Trace,
-        index: &TraceIndex,
-        graph: HbGraph,
-        config: HbConfig,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Self, BudgetExhausted> {
-        Self::close_over(trace, index, config, &[], false, graph, budget, threads)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_inner(
-        trace: &Trace,
-        index: &TraceIndex,
-        config: HbConfig,
         assumed: &[(usize, usize)],
         reference: bool,
-        budget: &Budget,
-        intra_threads: usize,
-    ) -> Result<Self, BudgetExhausted> {
-        // Anchor the assumed edges precisely: their endpoints must not be
-        // swallowed by access blocks, or the injected edge would order whole
-        // blocks the assumption says nothing about.
-        let breaks: Vec<usize> = assumed.iter().flat_map(|&(i, j)| [i, j]).collect();
-        let graph = HbGraph::build_with_breaks(trace, index, config.merge_accesses, &breaks);
-        Self::close_over(trace, index, config, assumed, reference, graph, budget, intra_threads)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn close_over(
-        trace: &Trace,
-        index: &TraceIndex,
-        config: HbConfig,
-        assumed: &[(usize, usize)],
-        reference: bool,
-        graph: HbGraph,
-        budget: &Budget,
-        intra_threads: usize,
     ) -> Result<Self, BudgetExhausted> {
         // The matrices are the engine's dominant allocation; enforce the
         // memory cap before allocating rather than after the OOM.
@@ -353,8 +224,7 @@ impl HappensBefore {
                 });
             }
         }
-        let mut builder =
-            EngineState::new(trace, index, &graph, config.rules, reference, budget, intra_threads);
+        let mut builder = EngineState::new(trace, index, &graph, config.rules, reference, budget);
         builder.add_base_edges();
         for &(i, j) in assumed {
             assert!(i < j, "assumed edges must point forward");
@@ -511,13 +381,6 @@ struct EngineState<'a> {
     examine_buf: Vec<u32>,
     /// Cooperative budget poller, consulted at loop granularity.
     poll: BudgetPoll,
-    /// Worker count for the intra-trace parallel closure; `≤ 1` keeps every
-    /// saturation on the sequential in-place path.
-    intra_threads: usize,
-    /// Scratch: per-node longest-path level in the union direct-edge DAG —
-    /// the batch-partition key of the parallel closure, recomputed at each
-    /// saturation (generator firings grow the DAG between rounds).
-    levels: Vec<u32>,
 }
 
 /// Cooperative budget polling for the saturation loops.
@@ -572,7 +435,6 @@ impl<'a> EngineState<'a> {
         rules: RuleSet,
         reference: bool,
         budget: &Budget,
-        intra_threads: usize,
     ) -> Self {
         let n = graph.node_count();
         let relation = if rules.restricted_transitivity {
@@ -611,8 +473,6 @@ impl<'a> EngineState<'a> {
             candidate_done: Vec::new(),
             examine_buf: Vec::new(),
             poll: BudgetPoll::new(budget),
-            intra_threads,
-            levels: Vec::new(),
         }
     }
 
@@ -1041,10 +901,6 @@ impl<'a> EngineState<'a> {
         // Base edges enqueued their sources; a full pass covers them all.
         self.dirty_sources.clear();
         self.last_dirty.clear();
-        if self.par_closure_active() {
-            let rows: Vec<NodeId> = (0..n).rev().collect();
-            return self.recompute_rows_batched(&rows, true);
-        }
         let mut changed = false;
         for i in (0..n).rev() {
             changed |= self.recompute_row(i);
@@ -1096,116 +952,11 @@ impl<'a> EngineState<'a> {
         self.frontier = stack;
         dirty.sort_unstable_by(|a, b| b.cmp(a));
         let mut changed = false;
-        if self.par_closure_active() {
-            changed = self.recompute_rows_batched(&dirty, false)?;
-        } else {
-            for &row in &dirty {
-                changed |= self.recompute_row(row);
-                self.poll.check(self.stats.word_ops)?;
-            }
+        for &row in &dirty {
+            changed |= self.recompute_row(row);
+            self.poll.check(self.stats.word_ops)?;
         }
         self.last_dirty = dirty;
-        Ok(changed)
-    }
-
-    /// Whether saturations run through the level-batched parallel
-    /// scheduler. Budgeted runs stay sequential: the poller's per-row
-    /// granularity is part of the budget contract.
-    fn par_closure_active(&self) -> bool {
-        self.intra_threads > 1 && !self.reference && !self.poll.limited
-    }
-
-    /// Recomputes `rows` through the level-batched scheduler.
-    ///
-    /// Longest-path levels over the union direct-edge DAG — `level(i) =
-    /// 1 + max(level(d))` over direct successors, `0` at sinks — partition
-    /// the rows into batches safe to recompute concurrently: every direct
-    /// edge strictly decreases the level, hence so does every nonempty
-    /// path, so rows of equal level cannot reach one another, and every row
-    /// a recomputation reads (direct st successors plus TRANS-MT frontier
-    /// nodes, all *reachable* from the row) lies at a strictly smaller
-    /// level and is final before the level's batch starts. Processing
-    /// levels in ascending order therefore feeds every row the same inputs
-    /// the sequential reverse-id schedule would have — bit-identical rows,
-    /// bounds and counters (see DESIGN.md §14).
-    ///
-    /// `all_rows` marks a round-one full saturation, where every row is in
-    /// the recompute set (the dirty mark is not populated).
-    fn recompute_rows_batched(&mut self, rows: &[NodeId], all_rows: bool) -> Result<bool, BudgetReason> {
-        let n = self.graph.node_count();
-        self.levels.clear();
-        self.levels.resize(n, 0);
-        for i in (0..n).rev() {
-            let mut lvl = 0u32;
-            for &d in self.st_edges.succs(i) {
-                lvl = lvl.max(self.levels[d] + 1);
-            }
-            for &d in self.mt_edges.succs(i) {
-                lvl = lvl.max(self.levels[d] + 1);
-            }
-            self.levels[i] = lvl;
-        }
-        // Conflicts: direct edges between two rows of this recompute set —
-        // exactly the dependencies that force their endpoints into
-        // different batches.
-        for &i in rows {
-            for &d in self.st_edges.succs(i).iter().chain(self.mt_edges.succs(i)) {
-                if all_rows || self.dirty_mark.contains(d) {
-                    self.stats.batch_conflicts += 1;
-                }
-            }
-        }
-        let mut order: Vec<NodeId> = rows.to_vec();
-        order.sort_unstable_by_key(|&i| (self.levels[i], std::cmp::Reverse(i)));
-        let mut changed = false;
-        let mut at = 0;
-        while at < order.len() {
-            let lvl = self.levels[order[at]];
-            let mut end = at + 1;
-            while end < order.len() && self.levels[order[end]] == lvl {
-                end += 1;
-            }
-            let group = &order[at..end];
-            if group.len() < PAR_GROUP_MIN {
-                // Narrow levels run inline — identical to the sequential
-                // path, since batch dispatch for a handful of rows costs
-                // more than the rows themselves.
-                for &i in &order[at..end] {
-                    changed |= self.recompute_row(i);
-                    self.poll.check(self.stats.word_ops)?;
-                }
-            } else {
-                self.stats.batches += 1;
-                let graph = self.graph;
-                let st_edges = &self.st_edges;
-                let relation = &self.relation;
-                let threads = self.intra_threads;
-                let results = crate::par::par_map(group, threads, |&i| {
-                    recompute_row_pure(graph, st_edges, relation, i)
-                });
-                for (&i, res) in group.iter().zip(results) {
-                    self.stats.rows_recomputed += 1;
-                    self.stats.word_ops += res.word_ops;
-                    self.stats.skipped_words += res.skipped_words;
-                    changed |= res.changed;
-                    match (&mut self.relation, res.rows) {
-                        (Relation::Plain(r), RowData::Plain { row, lo, hi }) => {
-                            r.store_row(i, &row, lo, hi);
-                        }
-                        (
-                            Relation::Restricted { st, mt },
-                            RowData::Restricted { st_row, st_lo, st_hi, mt_row, mt_lo, mt_hi },
-                        ) => {
-                            st.store_row(i, &st_row, st_lo, st_hi);
-                            mt.store_row(i, &mt_row, mt_lo, mt_hi);
-                        }
-                        _ => unreachable!("row data matches the relation variant"),
-                    }
-                }
-                self.poll.check(self.stats.word_ops)?;
-            }
-            at = end;
-        }
         Ok(changed)
     }
 
@@ -1348,169 +1099,6 @@ impl<'a> EngineState<'a> {
                     }
                 }
                 Ok(changed)
-            }
-        }
-    }
-}
-
-/// Result of one pure row recomputation: the row's new contents and bounds
-/// plus its counter deltas, produced without touching the shared matrices.
-struct RowResult {
-    word_ops: u64,
-    skipped_words: u64,
-    changed: bool,
-    rows: RowData,
-}
-
-enum RowData {
-    Plain {
-        row: Vec<u64>,
-        lo: usize,
-        hi: usize,
-    },
-    Restricted {
-        st_row: Vec<u64>,
-        st_lo: usize,
-        st_hi: usize,
-        mt_row: Vec<u64>,
-        mt_lo: usize,
-        mt_hi: usize,
-    },
-}
-
-/// Local-bounds replica of `BitMatrix::widen`: same empty-row encoding
-/// (`lo == hi`), same min/max growth, so a pure recomputation produces the
-/// exact bounds an in-place one would.
-fn widen_local(lo: &mut usize, hi: &mut usize, wlo: usize, whi: usize) {
-    if wlo >= whi {
-        return;
-    }
-    if lo == hi {
-        *lo = wlo;
-        *hi = whi;
-    } else {
-        *lo = (*lo).min(wlo);
-        *hi = (*hi).max(whi);
-    }
-}
-
-/// Pure counterpart of [`EngineState::recompute_row`]: computes row `i`'s
-/// new contents, bounds and counter deltas from the shared matrices without
-/// mutating them — the concurrent half of the parallel closure, with
-/// [`BitMatrix::store_row`] as its deterministic write-back.
-///
-/// It mirrors the in-place version operation for operation — same kernels,
-/// same `widen` sequence, same frontier push order — so the write-back
-/// leaves matrices *and* counters bit-identical to a sequential
-/// recomputation. Sound only when every row it reads is final, which the
-/// level partition of [`EngineState::recompute_rows_batched`] guarantees.
-fn recompute_row_pure(
-    graph: &HbGraph,
-    st_edges: &DirectEdges,
-    relation: &Relation,
-    i: NodeId,
-) -> RowResult {
-    let row_words = graph.node_count().div_ceil(64) as u64;
-    let mut word_ops = 0u64;
-    let mut skipped_words = 0u64;
-    match relation {
-        Relation::Plain(r) => {
-            let mut row = r.row(i).to_vec();
-            let (mut lo, mut hi) = r.row_bounds(i);
-            let mut changed = false;
-            for &d in st_edges.succs(i) {
-                debug_assert!(d > i, "happens-before edges point forward");
-                let (slo, shi) = r.row_bounds(d);
-                word_ops += (shi - slo) as u64;
-                skipped_words += row_words - (shi - slo) as u64;
-                if slo >= shi {
-                    continue;
-                }
-                if simd::or_into(&mut row[slo..shi], &r.row(d)[slo..shi]) {
-                    widen_local(&mut lo, &mut hi, slo, shi);
-                    changed = true;
-                }
-            }
-            RowResult {
-                word_ops,
-                skipped_words,
-                changed,
-                rows: RowData::Plain { row, lo, hi },
-            }
-        }
-        Relation::Restricted { st, mt } => {
-            let mut st_row = st.row(i).to_vec();
-            let (mut st_lo, mut st_hi) = st.row_bounds(i);
-            let mut changed = false;
-            for &d in st_edges.succs(i) {
-                debug_assert!(d > i, "happens-before edges point forward");
-                let (slo, shi) = st.row_bounds(d);
-                word_ops += (shi - slo) as u64;
-                skipped_words += row_words - (shi - slo) as u64;
-                if slo >= shi {
-                    continue;
-                }
-                if simd::or_into(&mut st_row[slo..shi], &st.row(d)[slo..shi]) {
-                    widen_local(&mut st_lo, &mut st_hi, slo, shi);
-                    changed = true;
-                }
-            }
-            let mask = graph
-                .thread_mask(graph.node(i).thread)
-                .expect("every node's thread has a mask")
-                .words();
-            let mut mt_row = mt.row(i).to_vec();
-            let (mut mt_lo, mut mt_hi) = mt.row_bounds(i);
-            let mut frontier: Vec<NodeId> = Vec::new();
-            frontier.extend_from_slice(st_edges.succs(i));
-            mt.for_each_set_in_row(i, |b| frontier.push(b));
-            let mut new_mt_bits = false;
-            while let Some(k) = frontier.pop() {
-                debug_assert!(k != i, "a row never reaches itself");
-                // Mirror of BitMatrix::or_union_masked_into with the
-                // destination row held locally: same bounds-union span,
-                // same touched-word accounting.
-                let (alo, ahi) = mt.row_bounds(k);
-                let (blo, bhi) = st.row_bounds(k);
-                let span = match (alo < ahi, blo < bhi) {
-                    (false, false) => None,
-                    (true, false) => Some((alo, ahi)),
-                    (false, true) => Some((blo, bhi)),
-                    (true, true) => Some((alo.min(blo), ahi.max(bhi))),
-                };
-                let Some((lo, hi)) = span else {
-                    skipped_words += row_words;
-                    continue;
-                };
-                let ch = simd::union_masked_collect(
-                    &mt.row(k)[lo..hi],
-                    &st.row(k)[lo..hi],
-                    &mask[lo..hi],
-                    &mut mt_row[lo..hi],
-                    lo,
-                    |b| {
-                        new_mt_bits = true;
-                        frontier.push(b);
-                    },
-                );
-                if ch {
-                    widen_local(&mut mt_lo, &mut mt_hi, lo, hi);
-                }
-                word_ops += (hi - lo) as u64;
-                skipped_words += row_words - (hi - lo) as u64;
-            }
-            RowResult {
-                word_ops,
-                skipped_words,
-                changed: changed | new_mt_bits,
-                rows: RowData::Restricted {
-                    st_row,
-                    st_lo,
-                    st_hi,
-                    mt_row,
-                    mt_lo,
-                    mt_hi,
-                },
             }
         }
     }
@@ -2133,8 +1721,6 @@ mod tests {
             worklist_pops: 11,
             rows_recomputed: 13 + k as u64,
             skipped_words: 17,
-            batches: 19 + k as u64,
-            batch_conflicts: 23,
         }
     }
 
@@ -2312,8 +1898,6 @@ mod tests {
             worklist_pops: 8,
             rows_recomputed: 9,
             skipped_words: 10,
-            batches: 11,
-            batch_conflicts: 12,
         };
         let b = a;
         a.absorb(&b);
@@ -2330,8 +1914,6 @@ mod tests {
                 worklist_pops: 16,
                 rows_recomputed: 18,
                 skipped_words: 20,
-                batches: 22,
-                batch_conflicts: 24,
             }
         );
     }
@@ -2418,12 +2000,20 @@ mod budget_tests {
         b.finish()
     }
 
+    /// The incremental engine over a freshly built graph under `budget`.
+    fn budgeted(trace: &Trace, budget: &Budget) -> Result<HappensBefore, BudgetExhausted> {
+        let index = trace.index();
+        let config = HbConfig::new();
+        let graph = HbGraph::build(trace, &index, config.merge_accesses);
+        HappensBefore::compute_on_graph(trace, &index, graph, config, budget, &[])
+    }
+
     #[test]
     fn unlimited_budget_matches_plain_compute() {
         let trace = busy_trace();
         let plain = HappensBefore::compute(&trace, HbConfig::new());
-        let budgeted = HappensBefore::compute_budgeted(&trace, HbConfig::new(), &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust");
+        let budgeted =
+            budgeted(&trace, &Budget::unlimited()).expect("unlimited budget cannot exhaust");
         assert_eq!(plain.stats(), budgeted.stats());
         assert_eq!(plain.ordered_pairs(), budgeted.ordered_pairs());
     }
@@ -2433,12 +2023,8 @@ mod budget_tests {
         let trace = busy_trace();
         let full = HappensBefore::compute(&trace, HbConfig::new());
         assert!(full.stats().word_ops > 8, "trace must exercise the engine");
-        let err = HappensBefore::compute_budgeted(
-            &trace,
-            HbConfig::new(),
-            &Budget::unlimited().with_max_ops(8),
-        )
-        .expect_err("tiny op cap must trip");
+        let err = budgeted(&trace, &Budget::unlimited().with_max_ops(8))
+            .expect_err("tiny op cap must trip");
         assert_eq!(err.reason, BudgetReason::OpCap);
         assert!(err.ops_processed > 8, "cutoff past the cap by at most one poll");
         assert!(
@@ -2459,12 +2045,8 @@ mod budget_tests {
     #[test]
     fn past_deadline_exhausts_immediately() {
         let trace = busy_trace();
-        let err = HappensBefore::compute_budgeted(
-            &trace,
-            HbConfig::new(),
-            &Budget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1)),
-        )
-        .expect_err("expired deadline must trip");
+        let expired = Budget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1));
+        let err = budgeted(&trace, &expired).expect_err("expired deadline must trip");
         assert_eq!(err.reason, BudgetReason::Deadline);
         // Afterwards the unbudgeted run still works and is deterministic.
         let a = HappensBefore::compute(&trace, HbConfig::new());
@@ -2475,23 +2057,15 @@ mod budget_tests {
     #[test]
     fn matrix_bit_cap_blocks_allocation_up_front() {
         let trace = busy_trace();
-        let err = HappensBefore::compute_budgeted(
-            &trace,
-            HbConfig::new(),
-            &Budget::unlimited().with_max_matrix_bits(64),
-        )
-        .expect_err("tiny matrix cap must trip");
+        let err = budgeted(&trace, &Budget::unlimited().with_max_matrix_bits(64))
+            .expect_err("tiny matrix cap must trip");
         assert_eq!(err.reason, BudgetReason::MatrixBits);
         assert_eq!(err.ops_processed, 0, "tripped before any work");
         assert_eq!(err.partial, EngineStats::default());
         // A generous cap admits the same result as the unbudgeted run.
         let n = HappensBefore::compute(&trace, HbConfig::new()).graph().node_count() as u64;
-        let ok = HappensBefore::compute_budgeted(
-            &trace,
-            HbConfig::new(),
-            &Budget::unlimited().with_max_matrix_bits(2 * n * n),
-        )
-        .expect("exact cap admits the run");
+        let ok = budgeted(&trace, &Budget::unlimited().with_max_matrix_bits(2 * n * n))
+            .expect("exact cap admits the run");
         assert_eq!(ok.stats(), HappensBefore::compute(&trace, HbConfig::new()).stats());
     }
 
@@ -2500,19 +2074,10 @@ mod budget_tests {
         let trace = busy_trace();
         let index = trace.index();
         let config = HbConfig::new();
-        let graph =
-            crate::graph::HbGraph::build(&trace, &index, config.merge_accesses);
-        // The reference saturator goes through the same close_over path only
-        // via compute_reference (unlimited); exercise the budgeted worklist
-        // path on a prebuilt graph instead.
-        let err = HappensBefore::compute_on_graph_budgeted(
-            &trace,
-            &index,
-            graph,
-            config,
-            &Budget::unlimited().with_max_ops(1),
-        )
-        .expect_err("op cap of 1 must trip");
+        let graph = HbGraph::build(&trace, &index, config.merge_accesses);
+        let budget = Budget::unlimited().with_max_ops(1);
+        let err = HappensBefore::close(&trace, &index, graph, config, &budget, &[], true)
+            .expect_err("op cap of 1 must trip");
         assert_eq!(err.reason, BudgetReason::OpCap);
     }
 

@@ -53,9 +53,7 @@ pub fn default_threads() -> usize {
 /// this many items the fixed overhead dominates any speedup (the pipeline
 /// bench measured the parallel path at 0.878× sequential for `threads=1`
 /// before the short-circuit was made explicit). Items here are whole
-/// analyses or row batches — milliseconds each — so the threshold is low;
-/// per-row granularity is guarded separately by the engine's
-/// `PAR_GROUP_MIN`.
+/// analyses — milliseconds each — so the threshold is low.
 pub const SPAWN_MIN_ITEMS: usize = 2;
 
 /// The worker count a fan-out will actually use: `1` (the inline

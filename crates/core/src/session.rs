@@ -115,7 +115,6 @@ pub struct AnalysisBuilder {
     sink: Option<Arc<dyn ObsSink>>,
     budget: Budget,
     fault_hook: Option<FaultHook>,
-    intra_threads: usize,
 }
 
 /// A fault-injection callback fired with each phase name as it starts; see
@@ -192,17 +191,6 @@ impl AnalysisBuilder {
     /// sink is only needed by callers that aggregate across sessions.
     pub fn sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Runs the happens-before closure on `threads` intra-trace workers
-    /// (default: 1, the sequential engine). The result is bit-identical for
-    /// every thread count — matrices, races, and every engine counter
-    /// except the `batches`/`batch_conflicts` scheduling telemetry; see
-    /// [`HappensBefore::compute_parallel`]. A limited [`Budget`] forces the
-    /// sequential path, keeping budget-poll granularity deterministic.
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads;
         self
     }
 
@@ -316,14 +304,8 @@ impl AnalysisBuilder {
         rec.start("closure");
         self.enter_phase("closure");
         let start = Instant::now();
-        let hb = HappensBefore::compute_on_graph_budgeted_parallel(
-            &trace,
-            &index,
-            graph,
-            self.config,
-            &self.budget,
-            self.intra_threads.max(1),
-        )?;
+        let hb =
+            HappensBefore::compute_on_graph(&trace, &index, graph, self.config, &self.budget, &[])?;
         timing.closure = start.elapsed();
         let stats = hb.stats();
         rec.counter("base_edges", stats.base_edges as u64);
@@ -523,7 +505,6 @@ impl fmt::Debug for AnalysisBuilder {
             .field("sink", &self.sink.as_ref().map(|_| "dyn ObsSink"))
             .field("budget", &self.budget)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "dyn Fn"))
-            .field("intra_threads", &self.intra_threads)
             .finish()
     }
 }
@@ -609,29 +590,6 @@ mod tests {
         session.push_chunk(trace.ops()).expect("unbudgeted");
         session.finish(trace.names()).expect("unbudgeted");
         assert_eq!(chunks.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn intra_threads_session_is_bit_identical_to_sequential() {
-        let trace = racy_trace();
-        let base = AnalysisBuilder::new().analyze(&trace).expect("runs");
-        for threads in [0, 1, 2, 8] {
-            let par = AnalysisBuilder::new()
-                .intra_threads(threads)
-                .analyze(&trace)
-                .expect("runs");
-            assert_eq!(par.races(), base.races(), "threads={threads}");
-            let (p, b) = (par.hb().stats(), base.hb().stats());
-            assert_eq!(p.word_ops, b.word_ops, "threads={threads}");
-            assert_eq!(p.rows_recomputed, b.rows_recomputed, "threads={threads}");
-            assert_eq!(p.skipped_words, b.skipped_words, "threads={threads}");
-            // The span profile structure is thread-count independent too.
-            assert_eq!(
-                par.spans().structure(),
-                base.spans().structure(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

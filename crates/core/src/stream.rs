@@ -1704,19 +1704,14 @@ impl StreamingAnalysis {
         let index = trace.index();
         let graph = HbGraph::build(&trace, &index, self.config.merge_accesses);
         let n = graph.node_count() as u64;
-        let hb = match &self.options.budget {
-            Some(b) => {
-                match HappensBefore::compute_on_graph_budgeted(
-                    &trace, &index, graph, self.config, b,
-                ) {
-                    Ok(hb) => hb,
-                    Err(e) => {
-                        self.exhausted = Some(e);
-                        return Err(e);
-                    }
-                }
+        let budget = self.options.budget.unwrap_or_else(Budget::unlimited);
+        let closed = HappensBefore::compute_on_graph(&trace, &index, graph, self.config, &budget, &[]);
+        let hb = match closed {
+            Ok(hb) => hb,
+            Err(e) => {
+                self.exhausted = Some(e);
+                return Err(e);
             }
-            None => HappensBefore::compute_on_graph(&trace, &index, graph, self.config),
         };
         let finals: Vec<(Race, RaceCategory)> = crate::race::detect(&trace, &hb)
             .into_iter()

@@ -14,7 +14,7 @@
 //! by content digest, so a retry after a lost response is answered from
 //! the cache instead of re-running the analysis.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -22,26 +22,7 @@ use std::time::{Duration, Instant};
 
 use droidracer_core::{AnalysisService, JobReport, JobSpec};
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
-
-trait Conn: Read + Write + Send {
-    /// Applies `timeout` to both reads and writes (`None` blocks forever).
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
+use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
 
 /// Where the client (re)connects to.
 #[derive(Debug, Clone)]

@@ -14,6 +14,9 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// Protocol version spoken by this build. A frame with any other version
 /// decodes to [`WireError::BadVersion`].
@@ -150,6 +153,27 @@ const OP_STATUS_REPLY: u8 = 0x83;
 const OP_REJECTED: u8 = 0x84;
 const OP_BYE: u8 = 0x85;
 const OP_OVERLOADED: u8 = 0x86;
+
+/// A byte stream frames travel over: TCP or a Unix-domain socket, on
+/// either end of the connection.
+pub(crate) trait Conn: Read + Write + Send {
+    /// Applies `timeout` to both reads and writes (`None` blocks forever).
+    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl Conn for TcpStream {
+    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(timeout)?;
+        self.set_write_timeout(timeout)
+    }
+}
+
+impl Conn for UnixStream {
+    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(timeout)?;
+        self.set_write_timeout(timeout)
+    }
+}
 
 /// Writes one frame (length prefix + payload).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {

@@ -47,7 +47,7 @@
 //! `key=value` lines.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -61,7 +61,7 @@ use droidracer_core::{
 };
 use droidracer_obs::{MetricsRegistry, MetricValue, Recorder};
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{read_frame, write_frame, Conn, Request, Response};
 use crate::store::{job_key, ResultStore, WalStore};
 
 /// The retry-after hint sent with [`Response::Overloaded`].
@@ -373,26 +373,6 @@ fn supervise_shard(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
                 }
             }
         }
-    }
-}
-
-/// Anything a connection can read and write frames on.
-trait Conn: Read + Write + Send {
-    /// Applies `timeout` to both reads and writes (`None` blocks forever).
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
     }
 }
 
